@@ -47,8 +47,12 @@ func randomSPD(n int, seed int64) *la.Matrix {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
-	a := la.MatMulTransB(m, m)
+	// A = M·Mᵀ + n·I is SPD.
+	a := la.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, la.Dot(m.Row(i), m.Row(j)))
+		}
 		a.Data[i*n+i] += float64(n)
 	}
 	return a

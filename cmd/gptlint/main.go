@@ -3,9 +3,10 @@
 // in the numeric core (directly or through any call chain), no map-range
 // accumulation, no goroutines outside internal/mpx, no float ==, no dropped
 // errors, no locks held across blocking operations, no inconsistent lock
-// orders, no join-free goroutines, and no allocations on //gptlint:hotpath
-// paths. Built entirely on the stdlib toolchain — go/parser, go/types,
-// go/importer — per the repo's stdlib-only rule.
+// orders, no join-free goroutines, no allocations on //gptlint:hotpath
+// paths, and no production function that only tests reach. Built entirely
+// on the stdlib toolchain — go/parser, go/types, go/importer — per the
+// repo's stdlib-only rule.
 //
 // Usage:
 //

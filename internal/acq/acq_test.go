@@ -2,7 +2,6 @@ package acq
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -86,122 +85,6 @@ func TestLCBAndPI(t *testing.T) {
 	}
 }
 
-func TestParetoFilterSmall(t *testing.T) {
-	objs := [][]float64{
-		{1, 5}, // front
-		{2, 4}, // front
-		{3, 3}, // front
-		{3, 5}, // dominated by (1,5)? no: (1,5) vs (3,5): 1<3, 5=5 → dominates
-		{2, 6}, // dominated by (1,5)
-	}
-	front := ParetoFilter(objs)
-	want := map[int]bool{0: true, 1: true, 2: true}
-	if len(front) != 3 {
-		t.Fatalf("front = %v", front)
-	}
-	for _, i := range front {
-		if !want[i] {
-			t.Fatalf("unexpected front member %d", i)
-		}
-	}
-}
-
-// Property: no member of the Pareto front is dominated by any point.
-func TestParetoFilterQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(30)
-		objs := make([][]float64, n)
-		for i := range objs {
-			objs[i] = []float64{rng.Float64(), rng.Float64()}
-		}
-		front := ParetoFilter(objs)
-		if len(front) == 0 {
-			return false
-		}
-		inFront := map[int]bool{}
-		for _, i := range front {
-			inFront[i] = true
-		}
-		for _, i := range front {
-			for j := range objs {
-				if j != i && Dominates(objs[j], objs[i]) {
-					return false
-				}
-			}
-		}
-		// Every non-front point must be dominated by someone.
-		for j := range objs {
-			if inFront[j] {
-				continue
-			}
-			dominated := false
-			for k := range objs {
-				if k != j && Dominates(objs[k], objs[j]) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHypervolumeKnown(t *testing.T) {
-	front := [][]float64{{1, 3}, {2, 2}, {3, 1}}
-	ref := []float64{4, 4}
-	// Sweep: (1,3): (4-1)*(4-3)=3; (2,2): (4-2)*(3-2)=2; (3,1): (4-3)*(2-1)=1.
-	if hv := Hypervolume(front, ref); math.Abs(hv-6) > 1e-12 {
-		t.Fatalf("hypervolume = %v, want 6", hv)
-	}
-	if hv := Hypervolume(nil, ref); hv != 0 {
-		t.Fatalf("empty front hv = %v", hv)
-	}
-	// Points outside the reference box contribute nothing.
-	if hv := Hypervolume([][]float64{{5, 5}}, ref); hv != 0 {
-		t.Fatalf("dominated-by-ref point contributed %v", hv)
-	}
-}
-
-// Property: adding a point never decreases hypervolume.
-func TestHypervolumeMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ref := []float64{1, 1}
-		n := 1 + rng.Intn(10)
-		front := make([][]float64, n)
-		for i := range front {
-			front[i] = []float64{rng.Float64(), rng.Float64()}
-		}
-		hv1 := Hypervolume(front, ref)
-		extra := append(front, []float64{rng.Float64(), rng.Float64()})
-		hv2 := Hypervolume(extra, ref)
-		return hv2 >= hv1-1e-15
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultiObjectiveEI(t *testing.T) {
-	// Both objectives promising → positive product; one hopeless (σ=0,
-	// dominated) → zero.
-	v := MultiObjectiveEI([]float64{1, 1}, []float64{1, 1}, []float64{2, 2})
-	if v <= 0 {
-		t.Fatalf("MO-EI = %v, want > 0", v)
-	}
-	v = MultiObjectiveEI([]float64{3, 1}, []float64{0, 1}, []float64{2, 2})
-	if v != 0 {
-		t.Fatalf("MO-EI with one hopeless objective = %v, want 0", v)
-	}
-}
-
 // TestExpectedImprovementDegenerateInputs: EI must stay finite and
 // non-negative under every degenerate posterior a numerically stressed GP
 // can emit — negative variance (cancellation at training points), NaN or
@@ -239,10 +122,5 @@ func TestExpectedImprovementDegenerateInputs(t *testing.T) {
 	}
 	if got := ExpectedImprovement(5, -1, 4); got != 0 {
 		t.Errorf("EI with clamped variance at dominated mean = %v, want 0", got)
-	}
-	// MultiObjectiveEI inherits the guard: a NaN objective zeroes the
-	// product rather than propagating.
-	if got := MultiObjectiveEI([]float64{1, nan}, []float64{1, 1}, []float64{2, 2}); got != 0 || math.IsNaN(got) {
-		t.Errorf("MO-EI with NaN objective = %v, want 0", got)
 	}
 }

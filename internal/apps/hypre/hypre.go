@@ -244,15 +244,6 @@ func (a *App) configOf(x []float64) Config {
 	}
 }
 
-// ConfigToVector converts a Config to the native tuning vector.
-func ConfigToVector(c Config) []float64 {
-	return []float64{
-		float64(c.Px), float64(c.Py), float64(c.Coarsen), float64(c.Restrict),
-		float64(c.Interp), float64(c.Smoother), c.Omega, float64(c.PreSweeps),
-		float64(c.PostSweeps), float64(c.Cycle), float64(c.CoarseSize), float64(c.Restart),
-	}
-}
-
 // Problem returns the tuning problem: task = [n1, n2, n3] with
 // 10 ≤ n_i ≤ 100 (as in Table 4), 12 tuning parameters, runtime objective.
 func (a *App) Problem() *core.Problem {

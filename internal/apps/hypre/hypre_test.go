@@ -99,13 +99,13 @@ func TestProblemEvaluatesAndConstrains(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	x := ConfigToVector(a.DefaultConfig())
+	x := configToVector(a.DefaultConfig())
 	y, err := p.Objective([]float64{30, 20, 15}, x)
 	if err != nil || len(y) != 1 || y[0] <= 0 {
 		t.Fatalf("objective: %v %v", y, err)
 	}
 	// px·py > P must be infeasible.
-	bad := ConfigToVector(a.DefaultConfig())
+	bad := configToVector(a.DefaultConfig())
 	bad[0], bad[1] = float64(a.PMax), 2
 	if p.Tuning.Feasible(bad) {
 		t.Fatalf("oversubscribed process grid accepted")
@@ -126,8 +126,18 @@ func TestConfigVectorRoundTrip(t *testing.T) {
 		PreSweeps: 2, PostSweeps: 0,
 		Cycle: mg.WCycle, CoarseSize: 16, Restart: 40,
 	}
-	got := a.configOf(ConfigToVector(cfg))
+	got := a.configOf(configToVector(cfg))
 	if got != cfg {
 		t.Fatalf("round trip: %+v vs %+v", got, cfg)
+	}
+}
+
+// configToVector converts a Config to the native tuning vector, the
+// inverse of App.configOf.
+func configToVector(c Config) []float64 {
+	return []float64{
+		float64(c.Px), float64(c.Py), float64(c.Coarsen), float64(c.Restrict),
+		float64(c.Interp), float64(c.Smoother), c.Omega, float64(c.PreSweeps),
+		float64(c.PostSweeps), float64(c.Cycle), float64(c.CoarseSize), float64(c.Restart),
 	}
 }

@@ -290,7 +290,7 @@ func (t *TaskResult) ParetoFront() []int {
 			if i == j {
 				continue
 			}
-			if dominatesMin(t.Y[j], t.Y[i]) {
+			if opt.Dominates(t.Y[j], t.Y[i]) {
 				dominated = true
 				break
 			}
@@ -300,19 +300,6 @@ func (t *TaskResult) ParetoFront() []int {
 		}
 	}
 	return front
-}
-
-func dominatesMin(a, b []float64) bool {
-	strict := false
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-		if a[i] < b[i] {
-			strict = true
-		}
-	}
-	return strict
 }
 
 // Result is the outcome of an MLA run across all δ tasks.

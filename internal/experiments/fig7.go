@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 
-	"repro/internal/acq"
 	"repro/internal/apps/superlu"
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -181,7 +180,7 @@ func Fig7Multi(epsTot int, seed int64, workers int) []Fig7MultiResult {
 		r.Multi = frontOf(&resMulti.Tasks[i])
 		for _, sp := range r.Single {
 			for _, mp := range r.Multi {
-				if acq.Dominates([]float64{sp.Time, sp.Memory}, []float64{mp.Time, mp.Memory}) {
+				if opt.Dominates([]float64{sp.Time, sp.Memory}, []float64{mp.Time, mp.Memory}) {
 					r.SingleDominating++
 					break
 				}
@@ -189,7 +188,7 @@ func Fig7Multi(epsTot int, seed int64, workers int) []Fig7MultiResult {
 		}
 		for _, mp := range r.Multi {
 			for _, sp := range r.Single {
-				if acq.Dominates([]float64{mp.Time, mp.Memory}, []float64{sp.Time, sp.Memory}) {
+				if opt.Dominates([]float64{mp.Time, mp.Memory}, []float64{sp.Time, sp.Memory}) {
 					r.MultiDominating++
 					break
 				}

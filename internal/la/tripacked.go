@@ -21,15 +21,6 @@ type TriPacked struct {
 	data []float64 // len n(n+1)/2
 }
 
-// NewTriPacked returns an empty factor with capacity reserved for an n×n
-// lower triangle, ready to grow via AppendRow/AppendRows.
-func NewTriPacked(n int) *TriPacked {
-	if n < 0 {
-		n = 0
-	}
-	return &TriPacked{data: make([]float64, 0, n*(n+1)/2)}
-}
-
 // PackChol packs the lower triangle of a dense factor (as produced by
 // Cholesky or ParallelCholesky) into a TriPacked. The strict upper triangle
 // of l is ignored.
@@ -234,16 +225,4 @@ func (t *TriPacked) appendRows(cols, corner *Matrix, initial float64, jitterOK b
 		w[n0+j] = math.Sqrt(s)
 	}
 	return maxJitter, nil
-}
-
-// CholAppendRow is the dense one-shot convenience: given the factor l of an
-// n×n matrix A, it returns the (n+1)×(n+1) factor of [[A, col], [colᵀ, diag]]
-// as a new dense matrix. Strict like Cholesky (no jitter). Callers extending
-// repeatedly should hold a TriPacked instead to avoid the dense copies.
-func CholAppendRow(l *Matrix, col []float64, diag float64) (*Matrix, error) {
-	t := PackChol(l)
-	if err := t.AppendRow(col, diag); err != nil {
-		return nil, err
-	}
-	return t.Dense(), nil
 }

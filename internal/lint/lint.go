@@ -25,6 +25,7 @@ const (
 	RuleLockOrder           = "lock-order"                // R9
 	RuleGoroutineLeak       = "goroutine-leak"            // R10
 	RuleHotpathAlloc        = "hotpath-alloc"             // R11
+	RuleUnreachable         = "unreachable"               // R12
 
 	// Meta rules emitted by the ignore-contract checker itself.
 	RuleBadIgnore    = "bad-ignore"
@@ -44,6 +45,7 @@ var knownRules = map[string]bool{
 	RuleLockOrder:           true,
 	RuleGoroutineLeak:       true,
 	RuleHotpathAlloc:        true,
+	RuleUnreachable:         true,
 }
 
 // KnownRules returns every rule name, sorted — the authoritative list for
@@ -77,7 +79,8 @@ func (d Diagnostic) String() string {
 // transitive-wallclock applies to the NumericPackages (reported at the edge
 // where a call chain leaves the numeric core); lock-held-across-blocking,
 // lock-order, and goroutine-leak apply everywhere; hotpath-alloc applies to
-// functions marked //gptlint:hotpath wherever they are.
+// functions marked //gptlint:hotpath wherever they are; unreachable applies
+// everywhere.
 type Config struct {
 	// NumericPackages are the import paths where the determinism rules
 	// (no-wallclock, no-map-range, float-eq, unchecked-error,
@@ -289,7 +292,7 @@ func runInterprocedural(pkgs []*Package, cfg *Config, ix *ignoreIndex) []Diagnos
 	wantLockHeld := cfg.enabled(RuleLockBlocking)
 	wantLockOrder := cfg.enabled(RuleLockOrder)
 	need := cfg.enabled(RuleTransitiveWallclock) || cfg.enabled(RuleGoroutineLeak) ||
-		cfg.enabled(RuleHotpathAlloc) || wantLockHeld || wantLockOrder
+		cfg.enabled(RuleHotpathAlloc) || cfg.enabled(RuleUnreachable) || wantLockHeld || wantLockOrder
 	if !need {
 		return nil
 	}
@@ -310,6 +313,9 @@ func runInterprocedural(pkgs []*Package, cfg *Config, ix *ignoreIndex) []Diagnos
 	}
 	if cfg.enabled(RuleGoroutineLeak) {
 		g.goroutineLeaks(report)
+	}
+	if cfg.enabled(RuleUnreachable) {
+		g.unreachableFuncs(pkgs, report)
 	}
 	if wantLockHeld || wantLockOrder {
 		g.lockDiscipline(report, wantLockHeld)

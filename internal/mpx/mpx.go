@@ -1,152 +1,18 @@
 // Package mpx is the shared-memory substitute for the paper's MPI dynamic
 // process management (Section 4). The original GPTune driver runs as a
-// single MPI process that spawns worker process groups via MPI_Comm_spawn
-// and talks to them through inter-communicators; here the master is the
-// calling goroutine, Spawn launches a group of worker goroutines, and the
-// returned SpawnedComm plays the role of the inter-communicator
-// ("SpawnedComm" in the paper's Fig. 1). Workers see the mirror-image
-// inter-communicator through their WorkerCtx ("ParentComm") plus an
-// intra-communicator connecting the worker group.
-//
-// The package also provides the worker-pool helpers the tuner uses to
-// parallelize objective-function evaluations, modeling-phase random starts,
-// and per-task search (Sections 4.2–4.3).
+// single MPI process that spawns worker process groups via MPI_Comm_spawn;
+// here the workers are goroutines drawn from the pools below, which the
+// tuner uses to parallelize objective-function evaluations (MapStream),
+// modeling-phase random starts and per-task search (ParallelFor), and the
+// deterministic chunked reductions of the modeling phase (ParallelChunks)
+// (Sections 4.2–4.3). Gate bounds concurrent modeling phases across a
+// service's studies, and Go runs a supervised background task.
 package mpx
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 )
-
-// SpawnedComm is the master's end of the inter-communicator created by
-// Spawn: the local group is the master alone, the remote group is the
-// workers.
-type SpawnedComm struct {
-	size       int
-	toWorker   []chan any
-	fromWorker []chan any
-	done       chan struct{}
-	wg         *sync.WaitGroup
-}
-
-// WorkerCtx is a worker's view of the world: its rank and group size
-// (intra-communicator "MPI_World"), and the parent inter-communicator
-// ("ParentComm") for exchanging data with the master.
-type WorkerCtx struct {
-	Rank, Size int
-	fromMaster chan any
-	toMaster   chan any
-	barrier    *barrier
-}
-
-// Spawn launches size worker goroutines each running body, and returns the
-// master's inter-communicator. The master must eventually call Wait (or
-// drain all worker messages) to join the group.
-func Spawn(size int, body func(ctx *WorkerCtx)) *SpawnedComm {
-	if size <= 0 {
-		panic(fmt.Sprintf("mpx: Spawn size %d", size))
-	}
-	sc := &SpawnedComm{
-		size:       size,
-		toWorker:   make([]chan any, size),
-		fromWorker: make([]chan any, size),
-		done:       make(chan struct{}),
-		wg:         &sync.WaitGroup{},
-	}
-	bar := newBarrier(size)
-	sc.wg.Add(size)
-	for r := 0; r < size; r++ {
-		sc.toWorker[r] = make(chan any, 16)
-		sc.fromWorker[r] = make(chan any, 16)
-		ctx := &WorkerCtx{
-			Rank:       r,
-			Size:       size,
-			fromMaster: sc.toWorker[r],
-			toMaster:   sc.fromWorker[r],
-			barrier:    bar,
-		}
-		go func() {
-			defer sc.wg.Done()
-			body(ctx)
-		}()
-	}
-	go func() {
-		sc.wg.Wait()
-		close(sc.done)
-	}()
-	return sc
-}
-
-// Send delivers v to worker rank (blocking once the worker's mailbox of 16
-// messages is full).
-func (sc *SpawnedComm) Send(rank int, v any) { sc.toWorker[rank] <- v }
-
-// Recv blocks until worker rank sends a message to the master.
-func (sc *SpawnedComm) Recv(rank int) any { return <-sc.fromWorker[rank] }
-
-// Bcast sends v to every worker.
-func (sc *SpawnedComm) Bcast(v any) {
-	for r := 0; r < sc.size; r++ {
-		sc.toWorker[r] <- v
-	}
-}
-
-// Gather receives one message from every worker, indexed by rank.
-func (sc *SpawnedComm) Gather() []any {
-	out := make([]any, sc.size)
-	for r := 0; r < sc.size; r++ {
-		out[r] = <-sc.fromWorker[r]
-	}
-	return out
-}
-
-// Size returns the remote group size.
-func (sc *SpawnedComm) Size() int { return sc.size }
-
-// Wait blocks until every worker body has returned.
-func (sc *SpawnedComm) Wait() { <-sc.done }
-
-// Recv blocks until the master sends this worker a message.
-func (w *WorkerCtx) Recv() any { return <-w.fromMaster }
-
-// Send delivers v to the master.
-func (w *WorkerCtx) Send(v any) { w.toMaster <- v }
-
-// Barrier synchronizes all workers in the spawned group (the workers'
-// intra-communicator).
-func (w *WorkerCtx) Barrier() { w.barrier.await() }
-
-// barrier is a reusable n-party barrier.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   int
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-	}
-	b.mu.Unlock()
-}
 
 // Gate bounds how many holders may be inside a region at once — a counting
 // semaphore. The tuning service shares one Gate across every study's engine
@@ -257,21 +123,12 @@ func NumChunks(n, chunk int) int {
 	return (n + chunk - 1) / chunk
 }
 
-// Map applies fn to every input on up to workers goroutines, preserving
-// order. Errors are collected per element (nil when fn succeeded).
-func Map[T, R any](inputs []T, workers int, fn func(T) (R, error)) ([]R, []error) {
-	out := make([]R, len(inputs))
-	errs := make([]error, len(inputs))
-	ParallelFor(len(inputs), workers, func(i int) {
-		out[i], errs[i] = fn(inputs[i])
-	})
-	return out, errs
-}
-
-// MapStream is Map with ordered streaming delivery: fn runs on up to
-// workers goroutines, and deliver(i, out, err) is invoked on the calling
-// goroutine, in input order, as soon as element i and every earlier element
-// have completed — while later elements may still be in flight. Checkpoint
+// MapStream applies fn to every input on up to workers goroutines and
+// returns the outputs and per-element errors (nil when fn succeeded) in
+// input order. Delivery streams: deliver(i, out, err), when non-nil, is
+// invoked on the calling goroutine, in input order, as soon as element i
+// and every earlier element have completed — while later elements may
+// still be in flight. Checkpoint
 // hooks use this to persist completed objective evaluations to a
 // write-ahead log mid-batch, in an order that depends only on the input
 // order (never on scheduling), so a crashed run's log is always a prefix of

@@ -2,106 +2,10 @@ package mpx
 
 import (
 	"errors"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestSpawnEchoWorkers(t *testing.T) {
-	sc := Spawn(4, func(ctx *WorkerCtx) {
-		v := ctx.Recv().(int)
-		ctx.Send(v * 10)
-	})
-	for r := 0; r < 4; r++ {
-		sc.Send(r, r+1)
-	}
-	got := sc.Gather()
-	for r := 0; r < 4; r++ {
-		if got[r].(int) != (r+1)*10 {
-			t.Fatalf("rank %d returned %v", r, got[r])
-		}
-	}
-	sc.Wait()
-}
-
-func TestBcast(t *testing.T) {
-	sc := Spawn(3, func(ctx *WorkerCtx) {
-		v := ctx.Recv().(string)
-		ctx.Send(v + "-ack")
-	})
-	sc.Bcast("hello")
-	for _, v := range sc.Gather() {
-		if v.(string) != "hello-ack" {
-			t.Fatalf("got %v", v)
-		}
-	}
-	sc.Wait()
-}
-
-func TestWorkerRanksDistinct(t *testing.T) {
-	sc := Spawn(8, func(ctx *WorkerCtx) {
-		ctx.Send(ctx.Rank)
-	})
-	ranks := make([]int, 0, 8)
-	for _, v := range sc.Gather() {
-		ranks = append(ranks, v.(int))
-	}
-	sort.Ints(ranks)
-	for i, r := range ranks {
-		if r != i {
-			t.Fatalf("ranks = %v", ranks)
-		}
-	}
-	sc.Wait()
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	const n = 6
-	var before, after int32
-	sc := Spawn(n, func(ctx *WorkerCtx) {
-		atomic.AddInt32(&before, 1)
-		ctx.Barrier()
-		// All n workers must have passed "before" by now.
-		if atomic.LoadInt32(&before) != n {
-			ctx.Send(false)
-			return
-		}
-		atomic.AddInt32(&after, 1)
-		ctx.Barrier()
-		ctx.Send(true)
-	})
-	for _, v := range sc.Gather() {
-		if !v.(bool) {
-			t.Fatalf("barrier did not synchronize")
-		}
-	}
-	sc.Wait()
-	if after != n {
-		t.Fatalf("after = %d", after)
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	b := newBarrier(3)
-	var wg sync.WaitGroup
-	var counter int32
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 50; round++ {
-				atomic.AddInt32(&counter, 1)
-				b.await()
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != 150 {
-		t.Fatalf("counter = %d", counter)
-	}
-}
 
 func TestParallelForCoversAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
@@ -120,12 +24,15 @@ func TestParallelForCoversAll(t *testing.T) {
 func TestMapOrderAndErrors(t *testing.T) {
 	in := []int{1, 2, 3, 4, 5}
 	errBad := errors.New("bad")
-	out, errs := Map(in, 3, func(v int) (int, error) {
+	out, errs, derr := MapStream(in, 3, func(v int) (int, error) {
 		if v == 3 {
 			return 0, errBad
 		}
 		return v * v, nil
-	})
+	}, nil)
+	if derr != nil {
+		t.Fatalf("deliver error %v with no deliver hook", derr)
+	}
 	want := []int{1, 4, 0, 16, 25}
 	for i := range want {
 		if out[i] != want[i] {
@@ -135,34 +42,6 @@ func TestMapOrderAndErrors(t *testing.T) {
 	if errs[2] != errBad || errs[0] != nil {
 		t.Fatalf("errs = %v", errs)
 	}
-}
-
-func TestSpawnPanicsOnZeroSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	Spawn(0, func(*WorkerCtx) {})
-}
-
-func TestSizeAccessor(t *testing.T) {
-	sc := Spawn(5, func(ctx *WorkerCtx) {
-		if ctx.Size != 5 {
-			ctx.Send(false)
-			return
-		}
-		ctx.Send(true)
-	})
-	if sc.Size() != 5 {
-		t.Fatalf("Size = %d", sc.Size())
-	}
-	for _, v := range sc.Gather() {
-		if !v.(bool) {
-			t.Fatalf("worker saw wrong size")
-		}
-	}
-	sc.Wait()
 }
 
 func TestMapStreamOrderedDelivery(t *testing.T) {
